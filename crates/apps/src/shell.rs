@@ -83,12 +83,6 @@ impl AppShell {
         }
     }
 
-    /// Overrides the rank-0 init timeout (the MPI abort window of
-    /// Figure 8).
-    pub fn set_init_timeout(&mut self, timeout: SimDuration) {
-        self.init_timeout = timeout;
-    }
-
     /// Call from `Process::on_start`.
     pub fn on_start(&mut self, ctx: &mut ProcCtx<'_>) {
         ctx.set_timer(TICK, SHELL_TICK);

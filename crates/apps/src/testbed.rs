@@ -363,11 +363,6 @@ impl Running {
         }
         out
     }
-
-    /// Count of application restarts observed across all jobs.
-    pub fn total_restarts(&self) -> u64 {
-        (0..self.jobs as u64).filter_map(|s| self.job_times(s)).map(|t| t.restarts).sum()
-    }
 }
 
 impl std::fmt::Debug for Running {

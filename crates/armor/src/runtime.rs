@@ -208,11 +208,6 @@ impl ElementCtx<'_, '_> {
         self.core.id
     }
 
-    /// This ARMOR's instance name.
-    pub fn armor_name(&self) -> String {
-        self.core.name.to_string()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> ree_sim::SimTime {
         self.os.now()
@@ -334,11 +329,6 @@ impl ArmorProcess {
     /// This ARMOR's identity.
     pub fn id(&self) -> ArmorId {
         self.core.id
-    }
-
-    /// Checkpoint-buffer statistics `(updates, commits)`.
-    pub fn checkpoint_stats(&self) -> (u64, u64) {
-        (self.core.ckpt.updates(), self.core.ckpt.commits())
     }
 
     /// True if the last start restored state from a checkpoint.

@@ -126,14 +126,6 @@ impl Value {
     }
 
     /// Convenience accessor.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Convenience accessor.
     pub fn as_list(&self) -> Option<&[Value]> {
         match self {
             Value::List(v) => Some(v),

@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use ree_armor::{
-    decode_fields, encode_fields, ArmorEvent, ArmorId, CheckpointBuffer, Fields, Inbound,
-    ReliableComm, Value,
+    decode_fields, encode_fields, ArmorEvent, ArmorId, CheckpointBuffer, DecodeError, Fields,
+    Inbound, ReliableComm, Value,
 };
 use ree_sim::{SimDuration, SimRng, SimTime};
 
@@ -52,6 +52,40 @@ proptest! {
         let _ = fields.flip_random_leaf(&mut rng, None);
         let bytes = encode_fields(&fields);
         prop_assert!(decode_fields(&bytes).is_ok());
+    }
+
+    /// Decoding never panics on arbitrary bytes: a checkpoint image is
+    /// exactly what injected faults corrupt, so garbage must come back
+    /// as a typed error (or, by chance, a well-formed value).
+    #[test]
+    fn decode_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _: Result<Fields, DecodeError> = decode_fields(&bytes);
+    }
+
+    /// Every strict prefix of a valid image is rejected as truncated
+    /// rather than panicking or reading past the end.
+    #[test]
+    fn truncated_images_never_panic(fields in arb_fields(), cut in any::<usize>()) {
+        let bytes = encode_fields(&fields);
+        let cut = cut % bytes.len();
+        prop_assert_eq!(decode_fields(&bytes[..cut]), Err(DecodeError::Truncated));
+    }
+
+    /// Bit flips in the encoded image (tags, lengths, payload) never
+    /// panic the decoder.
+    #[test]
+    fn bit_flipped_images_never_panic(
+        fields in arb_fields(),
+        flips in proptest::collection::vec(any::<usize>(), 1..4),
+    ) {
+        let mut bytes = encode_fields(&fields);
+        for bit in flips {
+            let bit = bit % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        let _: Result<Fields, DecodeError> = decode_fields(&bytes);
     }
 
     /// The checkpoint buffer's regions are disjoint: updating one element

@@ -5,7 +5,8 @@
 //!
 //! Scenarios run sequentially inside one `#[test]` for the same reason.
 
-use ree_dist::{distribute, signal, DistOptions, Distributed};
+use ree_dist::worker::ENV_INCARNATION;
+use ree_dist::{distribute, signal, ChaosMode, ChaosPlan, DistOptions};
 use ree_inject::{Campaign, ErrorModel, RunPlan, Target};
 use ree_sim::{SimDuration, SimTime};
 use std::time::Duration;
@@ -29,6 +30,21 @@ fn options(workers: usize) -> DistOptions {
     o
 }
 
+/// A one-worker pool whose sweep interrupts itself: the first
+/// incarnation kills itself after `after_runs` runs (chaos), and the
+/// respawned incarnation sends SIGINT to the supervisor before it
+/// becomes a worker. The sweep cannot finish without that respawned
+/// worker, so the interrupt always lands mid-sweep, however fast the
+/// runs are.
+fn self_interrupting_options(after_runs: u32) -> DistOptions {
+    let mut o = options(1);
+    o.chaos = Some(ChaosPlan { mode: ChaosMode::Kill, victim: 0, after_runs, incarnations: 1 });
+    let wrapper = format!(r#"[ "${ENV_INCARNATION}" = 0 ] || kill -INT "$PPID"; exec "$0""#);
+    let worker = o.worker_cmd.take().expect("options sets a worker command").remove(0);
+    o.worker_cmd = Some(vec!["sh".into(), "-c".into(), wrapper, worker]);
+    o
+}
+
 #[test]
 fn interrupt_drains_and_reports_a_byte_identical_seed_prefix() {
     let plan = plan();
@@ -44,28 +60,27 @@ fn interrupt_drains_and_reports_a_byte_identical_seed_prefix() {
     assert_eq!(report.aggregate, Default::default());
     assert!(report.warnings.iter().any(|w| w.contains("interrupt")), "{:?}", report.warnings);
 
-    // An interrupt mid-sweep drains the in-flight batches and reports a
-    // partial aggregate that is byte-identical to a single-process
-    // campaign over the folded seed prefix.
+    // An interrupt mid-sweep stops dispatch and reports a partial
+    // aggregate that is byte-identical to a single-process campaign
+    // over the folded seed prefix. The SIGINT comes from the worker
+    // respawned after the chaos kill at run 10 (two whole batches in).
     signal::clear_interrupt();
     let (runs, seed0) = (400u32, 9u64);
-    let interrupter = std::thread::spawn(|| {
-        std::thread::sleep(Duration::from_millis(400));
-        signal::request_interrupt();
-    });
-    let report = distribute(&plan, runs, seed0, &options(2)).expect("sweep starts");
-    interrupter.join().expect("interrupter thread");
+    let report =
+        distribute(&plan, runs, seed0, &self_interrupting_options(10)).expect("sweep starts");
     signal::clear_interrupt();
-    assert!(report.interrupted, "sweep of 400 debug-mode runs outran a 400 ms interrupt");
+    assert!(report.interrupted, "the respawned worker's SIGINT never reached the supervisor");
     assert!(report.runs_folded < u64::from(runs), "nothing was left to interrupt");
-    // The folded prefix is whole batches, in seed order.
+    // The folded prefix is whole batches, in seed order, and holds at
+    // least the two batches finished before the chaos kill.
     assert_eq!(report.runs_folded % 4, 0);
+    assert!(report.runs_folded >= 8, "batches finished before the kill were not folded");
     let prefix = Campaign::new(&plan).runs(report.runs_folded as u32).seed(seed0).aggregate();
     assert_eq!(report.aggregate, prefix, "partial aggregate is not the seed prefix");
 
     // The flag clears: the next sweep runs to completion and matches
     // the single-process aggregate again.
-    let report = Campaign::new(&plan).runs(8).seed(1).distributed(&options(2)).expect("sweep runs");
+    let report = distribute(&plan, 8, 1, &options(2)).expect("sweep runs");
     assert!(report.completed() && !report.interrupted);
     assert_eq!(report.aggregate, Campaign::new(&plan).runs(8).seed(1).aggregate());
 }

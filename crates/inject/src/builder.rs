@@ -1,13 +1,10 @@
-//! The unified campaign API: a [`Campaign`] builder over one
-//! [`RunPlan`] with terminal `collect`/`fold`/`aggregate`/`adaptive`
-//! operations, and its owned counterpart [`CampaignSpec`].
+//! The campaign API: a [`Campaign`] builder over one [`RunPlan`] with
+//! terminal `collect`/`fold`/`aggregate`/`adaptive` operations.
 //!
-//! This subsumes the historical `run_campaign*` free functions (now
-//! thin deprecated shims): one composable entry point instead of five
-//! name×option combinations, and the only place the work-stealing
-//! executor lives. Everything terminal folds results **in seed
-//! order**, so campaign output is bit-for-bit deterministic for any
-//! worker-thread count.
+//! This is the one way to run an in-process campaign and the only place
+//! the work-stealing executor lives. Everything terminal folds results
+//! **in seed order**, so campaign output is bit-for-bit deterministic
+//! for any worker-thread count.
 
 use crate::adaptive::{Arm, ArmReport, StoppingRule};
 use crate::campaign::Aggregate;
@@ -80,11 +77,6 @@ impl<'p> Campaign<'p> {
         Campaign { plan, runs: 0, seed0: 0, threads: None }
     }
 
-    /// Borrows an owned [`CampaignSpec`] as a runnable campaign.
-    pub fn from_spec(spec: &'p CampaignSpec) -> Self {
-        Campaign { plan: &spec.plan, runs: spec.runs, seed0: spec.seed0, threads: spec.threads }
-    }
-
     /// Sets the number of seeded runs.
     pub fn runs(mut self, runs: u32) -> Self {
         self.runs = runs;
@@ -103,26 +95,6 @@ impl<'p> Campaign<'p> {
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
-    }
-
-    /// The plan this campaign runs — read access for extension
-    /// terminals defined outside this crate (e.g. `ree-mc`'s
-    /// `model_check`).
-    pub fn plan(&self) -> &RunPlan {
-        self.plan
-    }
-
-    /// The first seed ([`seed`](Campaign::seed)); run `i` uses
-    /// `seed0 + i`.
-    pub fn seed0(&self) -> u64 {
-        self.seed0
-    }
-
-    /// The configured run count ([`runs`](Campaign::runs)) — read
-    /// access for extension terminals defined outside this crate (e.g.
-    /// `ree-dist`'s `distributed`).
-    pub fn runs_configured(&self) -> u32 {
-        self.runs
     }
 
     /// Runs the campaign and returns every [`RunResult`] in seed order.
@@ -157,88 +129,6 @@ impl<'p> Campaign<'p> {
         let mut report =
             crate::adaptive::run_arms_with_threads(std::slice::from_ref(&arm), rule, self.threads);
         report.arms.remove(0)
-    }
-}
-
-/// An owned campaign description: the [`RunPlan`] plus the campaign
-/// shape ([`runs`](CampaignSpec::runs), [`seed`](CampaignSpec::seed),
-/// [`threads`](CampaignSpec::threads)).
-///
-/// Where [`Campaign`] borrows its plan for immediate execution,
-/// `CampaignSpec` is `Clone` and self-contained — the form a request
-/// queue, a result cache key, or an adaptive sweep arm wants. The
-/// terminal operations mirror [`Campaign`]'s and delegate to it.
-///
-/// # Examples
-///
-/// ```
-/// use ree_inject::{CampaignSpec, ErrorModel, RunPlan, Target};
-/// use ree_sim::SimTime;
-///
-/// let plan = RunPlan {
-///     scenario: ree_apps::Scenario::single_texture(1),
-///     target: Target::App,
-///     model: ErrorModel::Sigint,
-///     timeout: SimTime::from_secs(220),
-///     net_faults: vec![],
-/// };
-/// let spec = CampaignSpec::new(plan).runs(2).seed(7);
-/// assert_eq!(spec.collect().len(), 2);
-/// ```
-#[derive(Clone, Debug)]
-pub struct CampaignSpec {
-    /// The plan every run executes.
-    pub plan: RunPlan,
-    /// Number of seeded runs for the fixed-size terminals.
-    pub runs: u32,
-    /// First seed; run `i` uses `seed0 + i`.
-    pub seed0: u64,
-    /// Explicit worker-thread count (`None` = automatic).
-    pub threads: Option<usize>,
-}
-
-impl CampaignSpec {
-    /// Wraps `plan` with no runs scheduled, seed 0, automatic threads.
-    pub fn new(plan: RunPlan) -> Self {
-        CampaignSpec { plan, runs: 0, seed0: 0, threads: None }
-    }
-
-    /// Sets the number of seeded runs.
-    pub fn runs(mut self, runs: u32) -> Self {
-        self.runs = runs;
-        self
-    }
-
-    /// Sets the first seed.
-    pub fn seed(mut self, seed0: u64) -> Self {
-        self.seed0 = seed0;
-        self
-    }
-
-    /// Sets an explicit worker-thread count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// See [`Campaign::collect`].
-    pub fn collect(&self) -> Vec<RunResult> {
-        Campaign::from_spec(self).collect()
-    }
-
-    /// See [`Campaign::fold`].
-    pub fn fold<A>(&self, init: A, fold: impl FnMut(&mut A, RunResult)) -> A {
-        Campaign::from_spec(self).fold(init, fold)
-    }
-
-    /// See [`Campaign::aggregate`].
-    pub fn aggregate(&self) -> Aggregate {
-        Campaign::from_spec(self).aggregate()
-    }
-
-    /// See [`Campaign::adaptive`].
-    pub fn adaptive(&self, rule: &StoppingRule) -> ArmReport {
-        Campaign::from_spec(self).adaptive(rule)
     }
 }
 

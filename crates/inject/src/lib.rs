@@ -16,11 +16,10 @@
 //! and optimisation history live in `docs/PERFORMANCE.md`). The single
 //! entry point is the [`Campaign`] builder — `runs`/`seed`/`threads`
 //! configuration with `collect`/`fold`/`aggregate`/`adaptive`
-//! terminals (the historical `run_campaign*` free functions survive as
-//! deprecated shims over it). Campaigns execute on a work-stealing
-//! thread pool and fold results **in seed order**, so output is
-//! bit-identical for any thread count; before the workers fan out, the
-//! executor warms the campaign-shared input cache
+//! terminals. Campaigns execute on a work-stealing thread pool and
+//! fold results **in seed order**, so output is bit-identical for any
+//! thread count; before the workers fan out, the executor warms the
+//! campaign-shared input cache
 //! (`ree_apps::Scenario::warm_inputs`) so the synthetic instrument
 //! data is generated once per process, not once per run.
 //!
@@ -96,13 +95,8 @@ mod runner;
 
 pub use adaptive::{AdaptiveReport, Arm, ArmReport, CiMetric, StoppingRule};
 pub use branch::{activation_instants, candidate_targets};
-pub use builder::{Campaign, CampaignSpec};
+pub use builder::Campaign;
 pub use campaign::Aggregate;
-#[allow(deprecated)]
-pub use campaign::{
-    run_campaign, run_campaign_aggregate, run_campaign_fold, run_campaign_fold_with_threads,
-    run_campaign_with_threads,
-};
 pub use error::CampaignError;
 pub use model::{ErrorModel, FailureClass, SystemFailure, Target};
 pub use netfault::{NetFault, NetFaultKind, NetFaultTrigger};

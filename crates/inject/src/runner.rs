@@ -68,7 +68,7 @@ impl RunPlan {
     }
 
     /// Boots this plan's scenario once, frozen at the snapshot instant —
-    /// the warm-boot image `run_campaign*` forks per run.
+    /// the warm-boot image every [`Campaign`](crate::Campaign) run forks.
     pub fn boot_snapshot(&self) -> BootSnapshot {
         self.scenario.boot_snapshot(self.geometry().snapshot_at)
     }

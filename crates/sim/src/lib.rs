@@ -1,46 +1,22 @@
 //! # ree-sim — deterministic discrete-event simulation kernel
 //!
 //! Foundation of the REE SIFT reproduction (Whisnant et al., CRHC-02-02):
-//! virtual time, a deterministic future-event list, seedable random
-//! streams, and a small generic executor.
+//! virtual time, a deterministic future-event list and seedable random
+//! streams.
 //!
-//! All higher layers (the simulated cluster OS, the ARMOR runtime, the
-//! fault-injection campaigns, the SAN solver) are built on these types.
-//! Determinism is the load-bearing property: a `(seed, configuration)`
-//! pair must replay the identical trace so that injection campaigns are
-//! debuggable and ablations comparable.
-//!
-//! ## Example
-//!
-//! ```
-//! use ree_sim::{Engine, Scheduler, SimDuration, SimRng, SimTime, World};
-//!
-//! struct Poisson { rng: SimRng, arrivals: u32 }
-//! impl World for Poisson {
-//!     type Event = ();
-//!     fn handle(&mut self, _: (), sched: &mut Scheduler<()>) {
-//!         self.arrivals += 1;
-//!         let gap = self.rng.exp_duration(2.0);
-//!         sched.after(gap, ());
-//!     }
-//! }
-//!
-//! let mut engine = Engine::new(Poisson { rng: SimRng::new(1), arrivals: 0 });
-//! engine.seed(SimTime::ZERO, ());
-//! engine.run_until(SimTime::from_secs(100));
-//! // Rate 2/s over 100 s: expect on the order of 200 arrivals.
-//! assert!(engine.world().arrivals > 120 && engine.world().arrivals < 300);
-//! ```
+//! The simulated cluster OS drives [`EventQueue`] directly; the ARMOR
+//! runtime, the fault-injection campaigns and the SAN solver draw from
+//! [`SimRng`] streams. Determinism is the load-bearing property: a
+//! `(seed, configuration)` pair must replay the identical trace so that
+//! injection campaigns are debuggable and ablations comparable.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 mod queue;
 mod rng;
 mod time;
 
-pub use engine::{Engine, Scheduler, World};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
