@@ -20,6 +20,7 @@
 use crate::event::{ArmorEvent, ArmorId, ArmorMessage, WirePacket};
 use ree_sim::{SimDuration, SimTime};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Outcome of handing an inbound packet to the comm layer.
 #[derive(Debug)]
@@ -96,7 +97,8 @@ impl ReliableComm {
     pub fn send(&mut self, now: SimTime, dst: ArmorId, events: Vec<ArmorEvent>) -> WirePacket {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let msg = ArmorMessage { src: self.me, dst, seq, events };
+        let msg = ArmorMessage { src: self.me, dst, seq, events: Arc::new(events) };
+        // The retransmit copy shares the events with the packet.
         self.pending.insert(seq, Pending { msg: msg.clone(), last_sent: now, retries: 0 });
         WirePacket::Data(msg)
     }
@@ -109,7 +111,7 @@ impl ReliableComm {
     pub fn send_unreliable(&mut self, dst: ArmorId, events: Vec<ArmorEvent>) -> WirePacket {
         let seq = self.next_seq;
         self.next_seq += 1;
-        WirePacket::Data(ArmorMessage { src: self.me, dst, seq, events })
+        WirePacket::Data(ArmorMessage { src: self.me, dst, seq, events: Arc::new(events) })
     }
 
     /// The (sorted) seen-sequence set for `src`, created on first use.

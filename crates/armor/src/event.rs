@@ -9,6 +9,8 @@
 //! propagation scenarios).
 
 use crate::value::{Fields, Value};
+use std::borrow::Cow;
+use std::sync::Arc;
 
 /// Unique ARMOR identity — "each ARMOR is addressed by a unique
 /// identification number, allowing messages to be sent to an ARMOR without
@@ -45,7 +47,7 @@ impl ArmorEvent {
     }
 
     /// Builder-style field attachment.
-    pub fn with(mut self, name: &str, value: Value) -> Self {
+    pub fn with(mut self, name: impl Into<Cow<'static, str>>, value: Value) -> Self {
         self.fields.set(name, value);
         self
     }
@@ -77,6 +79,11 @@ pub enum WireKind {
 
 /// A message between ARMORs: addressed by [`ArmorId`], carried by the
 /// daemon gateways, acknowledged end-to-end.
+///
+/// The events are immutable once sent and shared: the sender's
+/// retransmit buffer, every retransmission, the in-flight packet and
+/// snapshot forks all hold the same `Arc`, so cloning a message never
+/// copies its events.
 #[derive(Clone, Debug)]
 pub struct ArmorMessage {
     /// Sender identity.
@@ -86,7 +93,7 @@ pub struct ArmorMessage {
     /// Per-sender sequence number (set by the comm layer).
     pub seq: u64,
     /// The events to deliver, in order.
-    pub events: Vec<ArmorEvent>,
+    pub events: Arc<Vec<ArmorEvent>>,
 }
 
 impl ArmorMessage {
@@ -154,7 +161,7 @@ mod tests {
             src: ArmorId(1),
             dst: ArmorId(2),
             seq: 5,
-            events: vec![ArmorEvent::new("x")],
+            events: Arc::new(vec![ArmorEvent::new("x")]),
         };
         assert_eq!(WirePacket::Data(msg).destination(), ArmorId(2));
         // Acks travel back to the original sender.
@@ -168,15 +175,15 @@ mod tests {
             src: ArmorId(1),
             dst: ArmorId(2),
             seq: 0,
-            events: vec![ArmorEvent::new("a")],
+            events: Arc::new(vec![ArmorEvent::new("a")]),
         };
         let big = ArmorMessage {
             src: ArmorId(1),
             dst: ArmorId(2),
             seq: 0,
-            events: vec![ArmorEvent::new("a")
+            events: Arc::new(vec![ArmorEvent::new("a")
                 .with("x", Value::U64(1))
-                .with("y", Value::Str("zzz".into()))],
+                .with("y", Value::Str("zzz".into()))]),
         };
         assert!(big.wire_size() > small.wire_size());
     }

@@ -17,26 +17,32 @@
 //! 2. **Commit happens on every message transmission**, keeping the
 //!    global checkpoint set consistent so a single process rolls back.
 
-use crate::wire::{decode_fields, encode_fields_into, DecodeError};
+use crate::wire::{decode_fields, encode_fields_into, take, take_u32, DecodeError};
 use crate::Fields;
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::BytesMut;
+use std::sync::Arc;
 
 /// The in-process checkpoint buffer: one disjoint region per element,
 /// with an **incrementally maintained** stable-storage image.
 ///
 /// Two commit-path costs used to scale with total state size on every
 /// reliable ARMOR send: re-encoding the touched element and rebuilding
-/// the whole stable-storage image. Both are now incremental:
+/// the whole stable-storage image. Both are incremental, and the image
+/// is shared rather than copied:
 ///
-/// * [`CheckpointBuffer::update`] encodes into a reusable scratch buffer
-///   and, when the encoded bytes equal the region's current image (the
-///   element processed an event without changing state), skips the copy
-///   and leaves the region clean.
+/// * [`CheckpointBuffer::update`] skips encoding when the state's
+///   mutation stamp (see [`Fields`]) equals the one the region last
+///   encoded — no handler touched it. Otherwise it encodes into a
+///   reusable scratch buffer and, when the bytes equal the region's
+///   current image, skips the copy and leaves the region clean.
 /// * [`CheckpointBuffer::encode`] keeps the assembled image from the
-///   previous commit and patches only dirty regions in place. Region
-///   offsets are stable because regions are disjoint and fixed at
-///   construction; only a region changing *length* forces a full
-///   rebuild (which also refreshes every offset).
+///   previous commit as an `Arc` and hands out that `Arc`: a commit with
+///   no dirty region returns the same image, and a dirty commit copies
+///   the image into the one stable storage released at the previous
+///   write, then patches only the dirty spans. Region offsets are stable
+///   because regions are disjoint and fixed at construction; only a
+///   region changing *length* forces a full rebuild (which also
+///   refreshes every offset).
 ///
 /// Regions are addressed by construction-order index through a sorted
 /// name→index table, replacing the linear `String` compare per event.
@@ -44,10 +50,14 @@ use bytes::{Buf, Bytes, BytesMut};
 pub struct CheckpointBuffer {
     regions: Vec<Region>,
     /// Sorted `(element name, region index)` lookup table.
-    by_name: Vec<(String, u32)>,
+    by_name: Vec<(&'static str, u32)>,
     /// The assembled stable-storage image as of the last commit
-    /// (empty until the first commit).
-    assembled: Vec<u8>,
+    /// (empty until the first commit), shared with stable storage.
+    assembled: Arc<Vec<u8>>,
+    /// The image of the commit before, which stable storage releases
+    /// when it stores `assembled`: the next dirty commit reuses it
+    /// instead of allocating.
+    spare: Arc<Vec<u8>>,
     /// True when a region's image changed length since the last commit,
     /// invalidating every cached offset.
     needs_rebuild: bool,
@@ -61,8 +71,10 @@ pub struct CheckpointBuffer {
 
 #[derive(Debug, Clone, Default)]
 struct Region {
-    element: String,
+    element: &'static str,
     image: Vec<u8>,
+    /// Mutation stamp of the state `image` was encoded from.
+    stamp: u64,
     /// Byte offset of `image` within `assembled` (valid while
     /// `needs_rebuild` is false and `assembled` is non-empty).
     offset: usize,
@@ -73,27 +85,34 @@ struct Region {
 impl CheckpointBuffer {
     /// Creates a buffer with one region per element name, seeded from the
     /// provided initial states.
-    pub fn new<'a>(elements: impl IntoIterator<Item = (&'a str, &'a Fields)>) -> Self {
+    pub fn new<'a>(elements: impl IntoIterator<Item = (&'static str, &'a Fields)>) -> Self {
         let mut scratch = BytesMut::with_capacity(256);
         let regions: Vec<Region> = elements
             .into_iter()
             .map(|(name, state)| {
                 scratch.clear();
                 encode_fields_into(state, &mut scratch);
-                Region { element: name.to_owned(), image: scratch.to_vec(), offset: 0, dirty: true }
+                Region {
+                    element: name,
+                    image: scratch.to_vec(),
+                    stamp: state.stamp(),
+                    offset: 0,
+                    dirty: true,
+                }
             })
             .collect();
-        let mut by_name: Vec<(String, u32)> =
-            regions.iter().enumerate().map(|(i, r)| (r.element.clone(), i as u32)).collect();
+        let mut by_name: Vec<(&'static str, u32)> =
+            regions.iter().enumerate().map(|(i, r)| (r.element, i as u32)).collect();
         // Duplicate names keep construction order within the sorted
         // table, so the *first* constructed region wins lookups —
         // matching the old linear scan's semantics.
-        by_name.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        by_name.sort_unstable();
         by_name.dedup_by(|later, first| later.0 == first.0);
         CheckpointBuffer {
             regions,
             by_name,
-            assembled: Vec::new(),
+            assembled: Arc::default(),
+            spare: Arc::default(),
             needs_rebuild: true,
             scratch,
             updates: 0,
@@ -112,7 +131,7 @@ impl CheckpointBuffer {
     /// `String` scan).
     fn region_index(&self, element: &str) -> Option<usize> {
         self.by_name
-            .binary_search_by(|(name, _)| name.as_str().cmp(element))
+            .binary_search_by(|(name, _)| name.cmp(&element))
             .ok()
             .map(|i| self.by_name[i].1 as usize)
     }
@@ -120,15 +139,21 @@ impl CheckpointBuffer {
     /// Copies `state` into the region of `element` — the per-event
     /// microcheckpoint step. Returns `false` if the element is unknown.
     ///
-    /// Re-encoding into a reusable scratch buffer, the update is a no-op
-    /// (region stays clean for the next commit) when the encoded image
-    /// is byte-identical to the region's current one.
+    /// The update is a no-op (region stays clean for the next commit)
+    /// when `state` carries the stamp the region was last encoded from,
+    /// or when re-encoding it into a reusable scratch buffer gives an
+    /// image byte-identical to the region's current one.
     pub fn update(&mut self, element: &str, state: &Fields) -> bool {
         let Some(i) = self.region_index(element) else { return false };
         self.updates += 1;
+        let region = &mut self.regions[i];
+        if region.stamp == state.stamp() {
+            self.clean_updates += 1;
+            return true;
+        }
+        region.stamp = state.stamp();
         self.scratch.clear();
         encode_fields_into(state, &mut self.scratch);
-        let region = &mut self.regions[i];
         if region.image.as_slice() == &self.scratch[..] {
             self.clean_updates += 1;
             return true;
@@ -152,22 +177,24 @@ impl CheckpointBuffer {
     /// Incremental: the image assembled at the previous commit is kept,
     /// and only regions whose state changed since then are re-written
     /// into their (stable) spans. A region that changed length triggers
-    /// a full rebuild.
-    pub fn encode(&mut self) -> Vec<u8> {
+    /// a full rebuild. With no dirty region the previous image itself is
+    /// returned.
+    pub fn encode(&mut self) -> Arc<Vec<u8>> {
         self.commits += 1;
         if self.needs_rebuild || self.assembled.is_empty() {
             self.rebuild_assembled();
         } else {
             self.patched_commits += 1;
-            for region in &mut self.regions {
-                if region.dirty {
-                    self.assembled[region.offset..region.offset + region.image.len()]
+            if self.regions.iter().any(|r| r.dirty) {
+                let assembled = unshare(&mut self.assembled, &mut self.spare, true);
+                for region in self.regions.iter_mut().filter(|r| r.dirty) {
+                    assembled[region.offset..region.offset + region.image.len()]
                         .copy_from_slice(&region.image);
                     region.dirty = false;
                 }
             }
         }
-        self.assembled.clone()
+        Arc::clone(&self.assembled)
     }
 
     /// Rebuilds the assembled image from scratch, refreshing every
@@ -175,7 +202,7 @@ impl CheckpointBuffer {
     fn rebuild_assembled(&mut self) {
         let total: usize =
             4 + self.regions.iter().map(|r| 8 + r.element.len() + r.image.len()).sum::<usize>();
-        let mut buf = std::mem::take(&mut self.assembled);
+        let buf = unshare(&mut self.assembled, &mut self.spare, false);
         buf.clear();
         buf.reserve(total);
         buf.extend_from_slice(&(self.regions.len() as u32).to_be_bytes());
@@ -187,7 +214,6 @@ impl CheckpointBuffer {
             buf.extend_from_slice(&region.image);
             region.dirty = false;
         }
-        self.assembled = buf;
         self.needs_rebuild = false;
     }
 
@@ -198,31 +224,16 @@ impl CheckpointBuffer {
     /// Fails on truncated or structurally invalid images — the caller
     /// treats this as "no usable checkpoint" and cold-starts.
     pub fn decode(image: &[u8]) -> Result<Vec<(String, Fields)>, DecodeError> {
-        let mut buf = Bytes::copy_from_slice(image);
-        if buf.remaining() < 4 {
-            return Err(DecodeError::Truncated);
-        }
-        let n = buf.get_u32() as usize;
+        let mut buf = image;
+        let n = take_u32(&mut buf)? as usize;
         let mut out = Vec::with_capacity(n.min(256));
         for _ in 0..n {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let name_len = buf.get_u32() as usize;
-            if buf.remaining() < name_len {
-                return Err(DecodeError::Truncated);
-            }
-            let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
-                .map_err(|_| DecodeError::BadUtf8)?;
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let img_len = buf.get_u32() as usize;
-            if buf.remaining() < img_len {
-                return Err(DecodeError::Truncated);
-            }
-            let img = buf.copy_to_bytes(img_len);
-            let fields = decode_fields(&img)?;
+            let name_len = take_u32(&mut buf)? as usize;
+            let name = std::str::from_utf8(take(&mut buf, name_len)?)
+                .map_err(|_| DecodeError::BadUtf8)?
+                .to_owned();
+            let img_len = take_u32(&mut buf)? as usize;
+            let fields = decode_fields(take(&mut buf, img_len)?)?;
             out.push((name, fields));
         }
         Ok(out)
@@ -249,6 +260,29 @@ impl CheckpointBuffer {
     pub fn patched_commits(&self) -> u64 {
         self.patched_commits
     }
+}
+
+/// Mutable access to the image for the next commit. While stable storage
+/// (or a fork) still shares `assembled`, it becomes the new `spare`, and
+/// the old spare — released by storage at the last write — takes its
+/// place, with `assembled`'s bytes copied in when `keep` is set. A fresh
+/// buffer is allocated only when the spare is shared as well (the first
+/// commit after a fork).
+fn unshare<'a>(
+    assembled: &'a mut Arc<Vec<u8>>,
+    spare: &mut Arc<Vec<u8>>,
+    keep: bool,
+) -> &'a mut Vec<u8> {
+    if Arc::get_mut(assembled).is_none() {
+        if Arc::get_mut(spare).is_none() {
+            *spare = Arc::default();
+        }
+        std::mem::swap(assembled, spare);
+        if keep {
+            Arc::get_mut(assembled).expect("spare unshared above").clone_from(spare);
+        }
+    }
+    Arc::get_mut(assembled).expect("unshared above")
 }
 
 #[cfg(test)]
@@ -334,7 +368,7 @@ mod tests {
     }
 
     /// From-scratch reference image for the given (name, state) pairs.
-    fn reference_image(states: &[(&str, &Fields)]) -> Vec<u8> {
+    fn reference_image(states: &[(&'static str, &Fields)]) -> Arc<Vec<u8>> {
         CheckpointBuffer::new(states.iter().copied()).encode()
     }
 

@@ -174,8 +174,7 @@ impl ArmorCore {
 
     fn commit_checkpoint(&mut self, os: &mut ProcCtx<'_>) {
         let image = self.ckpt.encode();
-        let key = self.ckpt_key.clone();
-        if os.ramdisk().write(&key, image).is_err() {
+        if os.ramdisk().write(&self.ckpt_key, image).is_err() {
             os.trace("checkpoint commit failed: ram disk full");
         }
     }
@@ -337,12 +336,11 @@ impl ArmorProcess {
     }
 
     fn try_restore(&mut self, ctx: &mut ProcCtx<'_>) {
-        let key = self.core.ckpt_key.clone();
-        let image = match ctx.ramdisk().read(&key) {
-            Some(bytes) => bytes.to_vec(),
+        let decoded = match ctx.ramdisk().read(&self.core.ckpt_key) {
+            Some(image) => CheckpointBuffer::decode(image),
             None => return,
         };
-        match CheckpointBuffer::decode(&image) {
+        match decoded {
             Ok(states) => {
                 for (name, fields) in states {
                     for slot in self.elements.iter_mut().flatten() {
@@ -364,9 +362,25 @@ impl ArmorProcess {
         }
     }
 
-    fn process_events(&mut self, events: Vec<ArmorEvent>, ctx: &mut ProcCtx<'_>) -> Processing {
-        let mut queue: VecDeque<ArmorEvent> = events.into();
-        while let Some(ev) = queue.pop_front() {
+    /// Runs `events` in order, then the events raised while handling
+    /// them, FIFO — raised events always queue behind every incoming one.
+    /// The incoming events are borrowed (they are shared with the
+    /// sender's retransmit buffer); only raised events are owned.
+    fn process_events(&mut self, events: &[ArmorEvent], ctx: &mut ProcCtx<'_>) -> Processing {
+        let mut incoming = events.iter();
+        let mut queue: VecDeque<ArmorEvent> = VecDeque::new();
+        loop {
+            let owned;
+            let ev = match incoming.next() {
+                Some(ev) => ev,
+                None => match queue.pop_front() {
+                    Some(ev) => {
+                        owned = ev;
+                        &owned
+                    }
+                    None => break,
+                },
+            };
             // Runtime-reserved events.
             if ev.tag == "__restore-state" {
                 self.try_restore(ctx);
@@ -410,7 +424,7 @@ impl ArmorProcess {
                 }
                 let outcome = {
                     let mut ectx = ElementCtx { core: &mut self.core, os: ctx };
-                    elem.handle(&ev, &mut ectx)
+                    elem.handle(ev, &mut ectx)
                 };
                 match outcome {
                     ElementOutcome::Ok => {
@@ -435,9 +449,7 @@ impl ArmorProcess {
                 }
             }
             // Events raised by elements run after the current one.
-            for raised in self.core.raised.drain(..) {
-                queue.push_back(raised);
-            }
+            queue.extend(self.core.raised.drain(..));
         }
         Processing::Completed
     }
@@ -484,8 +496,7 @@ impl ArmorProcess {
         }
         match self.core.comm.on_packet(packet) {
             Inbound::Deliver(msg) => {
-                let events = msg.events.clone();
-                match self.process_events(events, ctx) {
+                match self.process_events(&msg.events, ctx) {
                     Processing::Completed => {
                         let ack = self.core.comm.acknowledge(&msg);
                         self.core.transmit(ack, ctx);
@@ -555,8 +566,7 @@ impl Process for ArmorProcess {
                 // Hold protocol traffic until the recovery coordinator
                 // instructs the restore — but only if a checkpoint
                 // actually exists (a first install proceeds cold).
-                let key = self.core.ckpt_key.clone();
-                if ctx.ramdisk().exists(&key) {
+                if ctx.ramdisk().exists(&self.core.ckpt_key) {
                     self.awaiting_restore = true;
                     // Safety valve: if the coordinator never follows up
                     // (e.g. it is failing too), proceed cold rather than
@@ -599,7 +609,7 @@ impl Process for ArmorProcess {
                     self.core.install_route(id, pid);
                 }
                 Ok(ControlOp::Raise(ev)) => {
-                    let result = self.process_events(vec![ev], ctx);
+                    let result = self.process_events(std::slice::from_ref(&ev), ctx);
                     self.finish_local(result, ctx);
                 }
                 Err(_) => ctx.trace("malformed armor-control payload"),
@@ -629,7 +639,7 @@ impl Process for ArmorProcess {
                     });
                     self.try_restore(ctx);
                     self.awaiting_restore = false;
-                    let result = self.process_events(vec![ArmorEvent::new("armor-restored")], ctx);
+                    let result = self.process_events(&[ArmorEvent::new("armor-restored")], ctx);
                     self.finish_local(result, ctx);
                     while let Some((from, packet)) = self.buffered.pop_front() {
                         self.handle_wire(from, packet, ctx);
@@ -649,7 +659,7 @@ impl Process for ArmorProcess {
                     );
                     events.push(ArmorEvent::new("armor-restored"));
                 }
-                let result = self.process_events(events, ctx);
+                let result = self.process_events(&events, ctx);
                 self.finish_local(result, ctx);
                 while let Some((from, packet)) = self.buffered.pop_front() {
                     self.handle_wire(from, packet, ctx);
@@ -663,7 +673,7 @@ impl Process for ArmorProcess {
                     .ok()
                     .map(|i| self.core.timer_events.remove(i).1);
                 if let Some(ev) = fired {
-                    let result = self.process_events(vec![ev], ctx);
+                    let result = self.process_events(std::slice::from_ref(&ev), ctx);
                     self.finish_local(result, ctx);
                 }
             }
@@ -676,7 +686,7 @@ impl Process for ArmorProcess {
             .with("child", Value::U64(child.0))
             .with("abnormal", Value::Bool(status.is_abnormal()))
             .with("status", Value::Str(status.to_string()));
-        let result = self.process_events(vec![ev], ctx);
+        let result = self.process_events(std::slice::from_ref(&ev), ctx);
         self.finish_local(result, ctx);
     }
 

@@ -21,7 +21,9 @@
 
 use ree_os::FieldKind;
 use ree_sim::SimRng;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A dynamically typed state value.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,6 +146,18 @@ impl Value {
 
 /// The named state of one element: an ordered map of values.
 ///
+/// Field names are `Cow<'static, str>`: literal names (the common case)
+/// are stored without allocating, names decoded from an image are owned.
+/// Either way the map orders them as `str`, so encoding and leaf order
+/// do not depend on which kind a name is.
+///
+/// Every `Fields` also carries a **mutation stamp**, renewed from a
+/// process-wide counter by every `&mut` method. Two values with equal
+/// stamps therefore have equal contents (a clone keeps its original's
+/// stamp until either is mutated), which lets the microcheckpoint skip
+/// re-encoding state no handler touched. Equality and `Debug` ignore the
+/// stamp.
+///
 /// # Examples
 ///
 /// ```
@@ -152,9 +166,27 @@ impl Value {
 /// f.set("restart_count", Value::U64(0));
 /// assert_eq!(f.get("restart_count").and_then(|v| v.as_u64()), Some(0));
 /// ```
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct Fields {
-    entries: BTreeMap<String, Value>,
+    entries: BTreeMap<Cow<'static, str>, Value>,
+    /// Mutation stamp; 0 only for a never-mutated (hence empty) value.
+    stamp: u64,
+}
+
+/// Source of mutation stamps (see [`Fields`]). Stamps only need to be
+/// unique, so no ordering with other memory is required.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
+
+impl PartialEq for Fields {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries
+    }
+}
+
+impl std::fmt::Debug for Fields {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fields").field("entries", &self.entries).finish()
+    }
 }
 
 impl Fields {
@@ -163,8 +195,20 @@ impl Fields {
         Fields::default()
     }
 
+    /// The mutation stamp: equal stamps imply equal contents.
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    /// Gives this value a stamp no other value holds (called by every
+    /// `&mut` method before it changes anything).
+    fn renew(&mut self) {
+        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Sets (inserting or replacing) a field.
-    pub fn set(&mut self, name: impl Into<String>, value: Value) {
+    pub fn set(&mut self, name: impl Into<Cow<'static, str>>, value: Value) {
+        self.renew();
         self.entries.insert(name.into(), value);
     }
 
@@ -175,11 +219,13 @@ impl Fields {
 
     /// Mutable field access.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
+        self.renew();
         self.entries.get_mut(name)
     }
 
     /// Removes a field.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
+        self.renew();
         self.entries.remove(name)
     }
 
@@ -194,7 +240,8 @@ impl Fields {
     }
 
     /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &Value)> {
+    /// Names come as stored, so copying a literal name stays free.
+    pub fn iter(&self) -> impl Iterator<Item = (&Cow<'static, str>, &Value)> {
         self.entries.iter()
     }
 
@@ -205,8 +252,9 @@ impl Fields {
 
     /// Increments an integer field (creating it at 0), returning the new
     /// value, or `None` if the existing field is not an integer.
-    pub fn bump(&mut self, name: &str) -> Option<u64> {
-        match self.entries.entry(name.to_owned()).or_insert(Value::U64(0)) {
+    pub fn bump(&mut self, name: impl Into<Cow<'static, str>>) -> Option<u64> {
+        self.renew();
+        match self.entries.entry(name.into()).or_insert(Value::U64(0)) {
             Value::U64(v) => {
                 *v = v.wrapping_add(1);
                 Some(*v)
@@ -280,6 +328,7 @@ impl Fields {
 
     /// Mutable variant of [`Fields::resolve`].
     pub fn resolve_mut(&mut self, path: &str) -> Option<&mut Value> {
+        self.renew();
         let mut parts = path.split('/');
         let first = parts.next()?;
         let mut cur = self.entries.get_mut(first)?;
@@ -412,6 +461,58 @@ mod tests {
                 assert!(std::str::from_utf8(s.as_bytes()).is_ok());
             }
         }
+    }
+
+    #[test]
+    fn every_mutation_renews_the_stamp() {
+        let base = sample();
+        let mutations: [fn(&mut Fields); 6] = [
+            |f| f.set("count", Value::U64(4)),
+            |f| *f.get_mut("count").unwrap() = Value::U64(5),
+            |f| assert!(f.remove("count").is_some()),
+            |f| assert_eq!(f.bump("count"), Some(4)),
+            |f| *f.resolve_mut("table/a").unwrap() = Value::U64(6),
+            |f| assert!(f.flip_random_leaf(&mut SimRng::new(7), None).is_some()),
+        ];
+        for mutate in mutations {
+            let mut f = base.clone();
+            assert_eq!(f.stamp(), base.stamp(), "a clone keeps the stamp");
+            mutate(&mut f);
+            assert_ne!(f.stamp(), base.stamp());
+            assert_ne!(f, base);
+        }
+    }
+
+    #[test]
+    fn stamps_are_unique_across_threads() {
+        let mut stamps: Vec<u64> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..500)
+                            .map(|i| {
+                                let mut f = Fields::new();
+                                f.set("n", Value::U64(i));
+                                f.stamp()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            workers.into_iter().flat_map(|w| w.join().expect("worker finishes")).collect()
+        });
+        stamps.sort_unstable();
+        stamps.dedup();
+        assert_eq!(stamps.len(), 2000);
+    }
+
+    #[test]
+    fn equality_and_debug_ignore_the_stamp() {
+        let a = sample();
+        let b = sample();
+        assert_ne!(a.stamp(), b.stamp());
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! paper's checkpoint-corruption system failures (§6.1).
 
 use crate::value::{Fields, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 const TAG_BOOL: u8 = 1;
 const TAG_U64: u8 = 2;
@@ -93,63 +93,49 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
     }
 }
 
-fn take_string(buf: &mut Bytes) -> Result<String, DecodeError> {
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(DecodeError::Truncated);
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
+/// Splits `n` bytes off the front of `buf`.
+pub(crate) fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], DecodeError> {
+    let (head, tail) = buf.split_at_checked(n).ok_or(DecodeError::Truncated)?;
+    *buf = tail;
+    Ok(head)
 }
 
-fn decode_value(buf: &mut Bytes, depth: usize) -> Result<Value, DecodeError> {
+fn take_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], DecodeError> {
+    Ok(take(buf, N)?.try_into().expect("take returns exactly N bytes"))
+}
+
+/// Reads a big-endian `u32` length or count.
+pub(crate) fn take_u32(buf: &mut &[u8]) -> Result<u32, DecodeError> {
+    take_array(buf).map(u32::from_be_bytes)
+}
+
+fn take_u64(buf: &mut &[u8]) -> Result<u64, DecodeError> {
+    take_array(buf).map(u64::from_be_bytes)
+}
+
+fn take_string(buf: &mut &[u8]) -> Result<String, DecodeError> {
+    let len = take_u32(buf)? as usize;
+    let bytes = take(buf, len)?;
+    std::str::from_utf8(bytes).map(str::to_owned).map_err(|_| DecodeError::BadUtf8)
+}
+
+fn decode_value(buf: &mut &[u8], depth: usize) -> Result<Value, DecodeError> {
     if depth > MAX_DEPTH {
         return Err(DecodeError::TooDeep);
     }
-    if buf.remaining() < 1 {
-        return Err(DecodeError::Truncated);
-    }
-    let tag = buf.get_u8();
+    let [tag] = take_array(buf)?;
     match tag {
         TAG_BOOL => {
-            if buf.remaining() < 1 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
+            let [b] = take_array(buf)?;
+            Ok(Value::Bool(b != 0))
         }
-        TAG_U64 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::U64(buf.get_u64()))
-        }
-        TAG_I64 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::I64(buf.get_i64()))
-        }
-        TAG_F64 => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::F64(f64::from_bits(buf.get_u64())))
-        }
+        TAG_U64 => Ok(Value::U64(take_u64(buf)?)),
+        TAG_I64 => Ok(Value::I64(take_array(buf).map(i64::from_be_bytes)?)),
+        TAG_F64 => Ok(Value::F64(f64::from_bits(take_u64(buf)?))),
         TAG_STR => Ok(Value::Str(take_string(buf)?)),
-        TAG_PTR => {
-            if buf.remaining() < 8 {
-                return Err(DecodeError::Truncated);
-            }
-            Ok(Value::Ptr(buf.get_u64()))
-        }
+        TAG_PTR => Ok(Value::Ptr(take_u64(buf)?)),
         TAG_LIST => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let n = buf.get_u32() as usize;
+            let n = take_u32(buf)? as usize;
             let mut items = Vec::with_capacity(n.min(1024));
             for _ in 0..n {
                 items.push(decode_value(buf, depth + 1)?);
@@ -157,10 +143,7 @@ fn decode_value(buf: &mut Bytes, depth: usize) -> Result<Value, DecodeError> {
             Ok(Value::List(items))
         }
         TAG_MAP => {
-            if buf.remaining() < 4 {
-                return Err(DecodeError::Truncated);
-            }
-            let n = buf.get_u32() as usize;
+            let n = take_u32(buf)? as usize;
             let mut map = std::collections::BTreeMap::new();
             for _ in 0..n {
                 let k = take_string(buf)?;
@@ -198,11 +181,8 @@ pub fn encode_fields_into(fields: &Fields, buf: &mut BytesMut) {
 /// Returns a [`DecodeError`] for truncated, malformed, or over-nested
 /// images; callers treat that as an unusable checkpoint (cold start).
 pub fn decode_fields(bytes: &[u8]) -> Result<Fields, DecodeError> {
-    let mut buf = Bytes::copy_from_slice(bytes);
-    if buf.remaining() < 4 {
-        return Err(DecodeError::Truncated);
-    }
-    let n = buf.get_u32() as usize;
+    let mut buf = bytes;
+    let n = take_u32(&mut buf)? as usize;
     let mut fields = Fields::new();
     for _ in 0..n {
         let name = take_string(&mut buf)?;

@@ -3,9 +3,10 @@
 use proptest::prelude::*;
 use ree_armor::{
     decode_fields, encode_fields, ArmorEvent, ArmorId, CheckpointBuffer, DecodeError, Fields,
-    Inbound, ReliableComm, Value,
+    Inbound, ReliableComm, Value, WirePacket,
 };
 use ree_sim::{SimDuration, SimRng, SimTime};
+use std::sync::Arc;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -32,6 +33,50 @@ fn arb_fields() -> impl Strategy<Value = Fields> {
         }
         f
     })
+}
+
+/// One step of an element's life between microcheckpoints: every `&mut`
+/// method of [`Fields`], a clone of another element's state, a whole-state
+/// replacement by a decoded image or by an older copy, and the
+/// checkpoint operations.
+#[derive(Debug)]
+enum Op {
+    Set(usize, String, Value),
+    GetMut(usize, String, Value),
+    Remove(usize, String),
+    Bump(usize, String),
+    ResolveMut(usize, usize, Value),
+    Flip(usize, u64),
+    CloneFrom(usize, usize),
+    Decoded(usize),
+    Save(usize),
+    Restore(usize),
+    Update(usize),
+    Commit,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    // Few names and indices, and updates and commits weighted up, so
+    // mutations often hit a field a commit has already captured.
+    let name = || "[ab]";
+    let idx = || 0usize..3;
+    prop_oneof![
+        (idx(), name(), arb_value()).prop_map(|(i, n, v)| Op::Set(i, n, v)),
+        (idx(), name(), arb_value()).prop_map(|(i, n, v)| Op::GetMut(i, n, v)),
+        (idx(), name()).prop_map(|(i, n)| Op::Remove(i, n)),
+        (idx(), name()).prop_map(|(i, n)| Op::Bump(i, n)),
+        (idx(), any::<usize>(), arb_value()).prop_map(|(i, l, v)| Op::ResolveMut(i, l, v)),
+        (idx(), any::<u64>()).prop_map(|(i, seed)| Op::Flip(i, seed)),
+        (idx(), idx()).prop_map(|(i, j)| Op::CloneFrom(i, j)),
+        idx().prop_map(Op::Decoded),
+        idx().prop_map(Op::Save),
+        idx().prop_map(Op::Restore),
+        idx().prop_map(Op::Update),
+        idx().prop_map(Op::Update),
+        idx().prop_map(Op::Update),
+        any::<bool>().prop_map(|_| Op::Commit),
+        any::<bool>().prop_map(|_| Op::Commit),
+    ]
 }
 
 proptest! {
@@ -233,6 +278,138 @@ proptest! {
                 prop_assert!(m.seq > base);
                 last_seq = m.seq;
             }
+        }
+    }
+
+    /// `CheckpointBuffer::decode` never panics on arbitrary bytes: a
+    /// stable-storage image is exactly what injected faults corrupt.
+    #[test]
+    fn checkpoint_decode_never_panics_on_arbitrary_bytes(
+        bytes in proptest::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let _: Result<Vec<(String, Fields)>, DecodeError> = CheckpointBuffer::decode(&bytes);
+    }
+
+    /// Every strict prefix of a committed image is rejected as
+    /// truncated, and bit flips in it come back as `Ok` or a typed error.
+    #[test]
+    fn damaged_checkpoint_images_never_panic(
+        a in arb_fields(),
+        b in arb_fields(),
+        cut in any::<usize>(),
+        flips in proptest::collection::vec(any::<usize>(), 1..4),
+    ) {
+        let image = CheckpointBuffer::new([("a", &a), ("b", &b)]).encode();
+        prop_assert_eq!(
+            CheckpointBuffer::decode(&image[..cut % image.len()]),
+            Err(DecodeError::Truncated)
+        );
+        let mut flipped = image.to_vec();
+        for bit in flips {
+            let bit = bit % (flipped.len() * 8);
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        let _: Result<Vec<(String, Fields)>, DecodeError> = CheckpointBuffer::decode(&flipped);
+    }
+
+    /// The mutation stamp never lets a stale region through, and the
+    /// shared image is never changed behind a holder's back: under any
+    /// interleaving of `Fields` mutations, clones, whole-state
+    /// replacements, updates and commits, every commit returns exactly
+    /// the image a fresh buffer builds from the states as last updated,
+    /// and every image handed out earlier still reads as it did.
+    #[test]
+    fn stamped_updates_and_shared_images_match_from_scratch(
+        ops in proptest::collection::vec(arb_op(), 1..64),
+    ) {
+        let names = ["alpha", "beta", "gamma"];
+        let mut states: Vec<Fields> = vec![Fields::new(); names.len()];
+        let mut saved = states.clone();
+        let mut checkpointed = states.clone();
+        let mut live = CheckpointBuffer::new(names.iter().zip(&states).map(|(n, s)| (*n, s)));
+        let reference = |states: &[Fields]| {
+            CheckpointBuffer::new(names.iter().zip(states).map(|(n, s)| (*n, s))).encode()
+        };
+        let mut handed_out: Vec<(Arc<Vec<u8>>, Vec<u8>)> = Vec::new();
+        for op in ops {
+            match op {
+                Op::Set(i, name, value) => states[i].set(name, value),
+                Op::GetMut(i, name, value) => {
+                    if let Some(v) = states[i].get_mut(&name) {
+                        *v = value;
+                    }
+                }
+                Op::Remove(i, name) => {
+                    let _ = states[i].remove(&name);
+                }
+                Op::Bump(i, name) => {
+                    let _ = states[i].bump(name);
+                }
+                Op::ResolveMut(i, leaf, value) => {
+                    let paths = states[i].leaf_paths();
+                    if !paths.is_empty() {
+                        let path = &paths[leaf % paths.len()].0;
+                        *states[i].resolve_mut(path).expect("listed leaf resolves") = value;
+                    }
+                }
+                Op::Flip(i, seed) => {
+                    let _ = states[i].flip_random_leaf(&mut SimRng::new(seed), None);
+                }
+                Op::CloneFrom(i, j) => states[i] = states[j].clone(),
+                Op::Decoded(i) => {
+                    let image = live.encode();
+                    let decoded = CheckpointBuffer::decode(&image).expect("own image decodes");
+                    states[i] = decoded[i].1.clone();
+                    handed_out.push((Arc::clone(&image), image.to_vec()));
+                }
+                Op::Save(i) => saved[i] = states[i].clone(),
+                Op::Restore(i) => states[i] = saved[i].clone(),
+                Op::Update(i) => {
+                    prop_assert!(live.update(names[i], &states[i]));
+                    checkpointed[i] = states[i].clone();
+                }
+                Op::Commit => {
+                    let image = live.encode();
+                    prop_assert_eq!(&image, &reference(&checkpointed));
+                    handed_out.push((Arc::clone(&image), image.to_vec()));
+                }
+            }
+        }
+        prop_assert_eq!(live.encode(), reference(&checkpointed));
+        for (image, bytes) in &handed_out {
+            prop_assert_eq!(image.as_slice(), bytes.as_slice());
+        }
+    }
+
+    /// A reliable message is immutable once sent: changing the state its
+    /// events were built from does not reach the retransmissions, which
+    /// share the original events instead of copying them.
+    #[test]
+    fn retransmission_carries_the_original_events(
+        state in arb_fields(),
+        later in arb_fields(),
+        retransmits in 1usize..4,
+    ) {
+        let mut state = state;
+        let mut sender = ReliableComm::new(ArmorId(1), SimDuration::from_secs(1));
+        let events = vec![ArmorEvent { tag: "state-report", fields: state.clone() }];
+        let original = events.clone();
+        let WirePacket::Data(first) = sender.send(SimTime::ZERO, ArmorId(2), events) else {
+            panic!("a send builds a data packet");
+        };
+        for (name, value) in later.iter() {
+            state.set(name.clone(), value.clone());
+        }
+        let _ = state.bump("generation");
+        for k in 1..=retransmits {
+            let due = sender.tick(SimTime::from_secs(k as u64));
+            prop_assert_eq!(due.len(), 1);
+            let Some(WirePacket::Data(again)) = due.into_iter().next() else {
+                panic!("a retransmission is a data packet");
+            };
+            prop_assert_eq!(again.seq, first.seq);
+            prop_assert_eq!(again.events.as_slice(), original.as_slice());
+            prop_assert!(Arc::ptr_eq(&again.events, &first.events), "events shared, not copied");
         }
     }
 }

@@ -148,16 +148,17 @@ fn hotpath(c: &mut Criterion) {
         // The per-send commit after one element changed: incremental
         // encode patches the dirty span of the cached image instead of
         // rebuilding the whole stable-storage image.
-        let states: Vec<(String, Fields)> = (0..6)
+        let names = ["element0", "element1", "element2", "element3", "element4", "element5"];
+        let states: Vec<(&'static str, Fields)> = (0..6)
             .map(|i| {
                 let mut f = Fields::new();
                 f.set("id", Value::U64(i));
                 f.set("count", Value::U64(0));
                 f.set("peer", Value::Str("armor-peer".into()));
-                (format!("element{i}"), f)
+                (names[i as usize], f)
             })
             .collect();
-        let mut ckpt = CheckpointBuffer::new(states.iter().map(|(n, f)| (n.as_str(), f)));
+        let mut ckpt = CheckpointBuffer::new(states.iter().map(|(n, f)| (*n, f)));
         let _ = ckpt.encode();
         let mut f = states[2].1.clone();
         let mut n = 0u64;
@@ -170,8 +171,9 @@ fn hotpath(c: &mut Criterion) {
     });
 
     group.bench_function("ckpt_update_unchanged", |b| {
-        // The other commit-path win: a touched-but-unchanged element
-        // costs one scratch encode + compare, no copy and no dirty span.
+        // The other commit-path win: an element whose state carries the
+        // stamp its region was encoded from costs one stamp compare, no
+        // encode, no copy and no dirty span.
         let mut f = Fields::new();
         f.set("id", Value::U64(1));
         f.set("peer", Value::Str("armor-peer".into()));

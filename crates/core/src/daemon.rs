@@ -151,7 +151,7 @@ impl DaemonInstaller {
         rank: u64,
         pristine: bool,
         initial: bool,
-        extra_config: Vec<(&str, Value)>,
+        extra_config: Vec<(&'static str, Value)>,
     ) -> Pid {
         let node = self.node();
         let my_pid = ctx.os.pid();
@@ -334,7 +334,7 @@ impl Element for DaemonInstaller {
                     ),
                 };
                 let restarts_key = format!("restarts_{}", armor.0);
-                let restarts = self.state.bump(&restarts_key).unwrap_or(1);
+                let restarts = self.state.bump(restarts_key).unwrap_or(1);
                 let pristine = restarts >= IMAGE_RELOAD_THRESHOLD;
                 if pristine {
                     ctx.trace(TraceDetail::ArmorImageReload { armor: armor.0, restarts });

@@ -45,8 +45,8 @@ impl AppMonitor {
         }
     }
 
-    fn status(&self) -> String {
-        self.state.get("app_status").and_then(Value::as_str).unwrap_or("idle").to_owned()
+    fn status(&self) -> &str {
+        self.state.get("app_status").and_then(Value::as_str).unwrap_or("idle")
     }
 
     fn set_status(&mut self, s: &str) {

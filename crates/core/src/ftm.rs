@@ -17,6 +17,11 @@ use ree_armor::{
 use ree_os::TraceDetail;
 use ree_os::{Pid, TraceEvent};
 use ree_sim::SimDuration;
+use std::ops::RangeInclusive;
+
+/// Rank counts an application record may hold; the elements' assertions
+/// reject anything else as corrupted.
+const VALID_RANKS: RangeInclusive<u64> = 1..=16;
 
 /// Answers the Heartbeat ARMOR's liveness polls.
 #[derive(Clone)]
@@ -657,7 +662,7 @@ impl Element for ExecArmorInfo {
             return Ok(());
         }
         ree_armor::assertions::map_integrity(&self.state, "expected", |v| {
-            v.as_u64().map(|n| (1..=16).contains(&n)).unwrap_or(false)
+            v.as_u64().map(|n| VALID_RANKS.contains(&n)).unwrap_or(false)
         })
     }
 }
@@ -791,6 +796,15 @@ impl Element for AppParam {
                     return ElementOutcome::Ok;
                 };
                 let ranks = rec_u64(rec, "ranks").unwrap_or(1);
+                // A corrupted rank count must not drive the STOP_APP loop
+                // below (a flipped high bit would mean millions of sends).
+                // With assertions on, `check()` rejects the record as soon
+                // as this handler returns; without them, using the garbage
+                // count is a crash.
+                let ranks_valid = VALID_RANKS.contains(&ranks);
+                if !ranks_valid && !self.checks {
+                    return ElementOutcome::Crash(format!("app record ranks={ranks} out of range"));
+                }
                 let restart = rec_u64(rec, "restart_count").unwrap_or(0) + 1;
                 crate::util::rec_set(
                     &mut self.state,
@@ -808,11 +822,13 @@ impl Element for AppParam {
                 );
                 ctx.trace(TraceDetail::FtmRestartApp { slot, restart });
                 // Stop every rank, then relaunch after a short settle.
-                for rank in 0..ranks {
-                    ctx.send(
-                        ids::exec(slot as u32, rank as u32),
-                        vec![ArmorEvent::new(tags::STOP_APP).with("slot", Value::U64(slot))],
-                    );
+                if ranks_valid {
+                    for rank in 0..ranks {
+                        ctx.send(
+                            ids::exec(slot as u32, rank as u32),
+                            vec![ArmorEvent::new(tags::STOP_APP).with("slot", Value::U64(slot))],
+                        );
+                    }
                 }
                 ctx.set_timer_event(
                     SimDuration::from_millis(400),
@@ -850,7 +866,7 @@ impl Element for AppParam {
             return Ok(());
         }
         ree_armor::assertions::map_integrity(&self.state, "apps", |rec| {
-            rec_u64(rec, "ranks").map(|r| (1..=16).contains(&r)).unwrap_or(false)
+            rec_u64(rec, "ranks").map(|r| VALID_RANKS.contains(&r)).unwrap_or(false)
                 && rec_u64(rec, "restart_count").map(|r| r < 50).unwrap_or(false)
         })
     }
@@ -1010,7 +1026,7 @@ impl Element for MgrAppDetect {
             let mask = rec_u64(rec, "done_mask");
             let restarting = rec_bool_or(rec, "restarting", false);
             match (expected, mask) {
-                (Some(e), Some(m)) if (1..=16).contains(&e) => {
+                (Some(e), Some(m)) if VALID_RANKS.contains(&e) => {
                     // Structure integrity: the done mask can only contain
                     // expected ranks, and a restarting slot has no
                     // terminations recorded yet.

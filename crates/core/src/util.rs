@@ -10,11 +10,14 @@ pub fn table_get<'a>(fields: &'a Fields, table: &str, key: &str) -> Option<&'a V
 }
 
 /// Inserts `fields[table][key] = value`, creating the table if needed.
-pub fn table_set(fields: &mut Fields, table: &str, key: &str, value: Value) {
+pub fn table_set(fields: &mut Fields, table: &'static str, key: &str, value: Value) {
     match fields.get_mut(table) {
-        Some(Value::Map(map)) => {
-            map.insert(key.to_owned(), value);
-        }
+        Some(Value::Map(map)) => match map.get_mut(key) {
+            Some(slot) => *slot = value,
+            None => {
+                map.insert(key.to_owned(), value);
+            }
+        },
         _ => {
             let mut map = BTreeMap::new();
             map.insert(key.to_owned(), value);
@@ -83,7 +86,12 @@ pub fn rec_bool(rec: &Value, field: &str) -> Option<bool> {
 pub fn rec_set(fields: &mut Fields, table: &str, key: &str, field: &str, value: Value) -> bool {
     if let Some(Value::Map(map)) = fields.get_mut(table) {
         if let Some(Value::Map(rec)) = map.get_mut(key) {
-            rec.insert(field.to_owned(), value);
+            match rec.get_mut(field) {
+                Some(slot) => *slot = value,
+                None => {
+                    rec.insert(field.to_owned(), value);
+                }
+            }
             return true;
         }
     }

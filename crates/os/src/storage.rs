@@ -128,11 +128,16 @@ impl RamDisk {
 
     /// Writes (creating or replacing) a file.
     ///
+    /// Takes owned bytes or an already shared image: a writer that keeps
+    /// its own handle on the contents (a checkpoint buffer) stores them
+    /// without a copy.
+    ///
     /// # Errors
     ///
     /// Returns [`DiskError::Full`] if the write would exceed capacity; the
     /// previous contents of the file are preserved in that case.
-    pub fn write(&mut self, path: &str, data: Vec<u8>) -> Result<(), DiskError> {
+    pub fn write(&mut self, path: &str, data: impl Into<Arc<Vec<u8>>>) -> Result<(), DiskError> {
+        let data = data.into();
         let existing = self.files.get(path).map_or(0, |d| d.len());
         let new_used = self.used - existing + data.len();
         if new_used > self.capacity {
@@ -144,7 +149,7 @@ impl RamDisk {
         self.writes += 1;
         self.bytes_written += data.len() as u64;
         self.used = new_used;
-        Arc::make_mut(&mut self.files).insert(path, Arc::new(data));
+        Arc::make_mut(&mut self.files).insert(path, data);
         Ok(())
     }
 
